@@ -104,6 +104,19 @@ class ColumnSchema:
             return int_to_date(int(raw))
         return raw
 
+    def decode_array(self, raw: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`decode_value` over an array of stored values.
+
+        Dictionary columns decode with one ``take`` into an object array of
+        the dictionary's strings, dates with one ``datetime64[D]`` to
+        :class:`datetime.date` conversion; other columns come back as is.
+        """
+        if self.dictionary:
+            return np.array(self.dictionary, dtype=object).take(raw)
+        if self.ctype is DATE:
+            return raw.astype("datetime64[D]").astype(object)
+        return raw
+
     def encode_value(self, value) -> int | float:
         """Map a logical value to its stored representation."""
         if self.dictionary:

@@ -50,6 +50,7 @@ from .model.constants import PAPER_CONSTANTS, ModelConstants
 from .model.cost import simulated_time_ms
 from .observe import Span, SpanTracer
 from .operators import ExecutionContext, TupleSet
+from .operators.tuples import zip_rows
 from .planner import (
     JoinQuery,
     RightTableStrategy,
@@ -74,7 +75,9 @@ class QueryResult:
     stats: QueryStats
     wall_ms: float
     simulated_ms: float
-    decoders: dict = field(default_factory=dict)
+    #: Output column -> :class:`~repro.dtypes.ColumnSchema`, for the
+    #: columns that decode to logical values (dictionary strings, dates).
+    schemas: dict = field(default_factory=dict)
     #: Root of the EXPLAIN ANALYZE span tree when the query ran with
     #: ``trace=True``; None otherwise.
     spans: Span | None = None
@@ -120,6 +123,22 @@ class QueryResult:
         ``wall_ms`` it decomposes end-to-end latency into wait + execute.
         """
         return float(self.stats.extra.get("queue_wait_ms", 0.0))
+
+    def columns(self, decoded: bool = False) -> list[list]:
+        """The result column-major: one Python list per output column.
+
+        Values are the raw stored ints; with ``decoded=True`` dictionary
+        codes become strings and dates :class:`datetime.date` objects, each
+        column decoded in one vectorized step.
+        """
+        schemas = self.schemas if decoded else {}
+        return [
+            (
+                schemas[name].decode_array(values) if name in schemas
+                else values
+            ).tolist()
+            for name, values in zip(self.tuples.columns, self.tuples.data.T)
+        ]
 
     def rows(self) -> list[tuple]:
         """Raw stored values as Python tuples."""
@@ -180,16 +199,7 @@ class QueryResult:
 
     def decoded_rows(self) -> list[tuple]:
         """Rows with dictionary codes and dates mapped back to logical values."""
-        columns = self.tuples.columns
-        out = []
-        for row in self.tuples.rows():
-            out.append(
-                tuple(
-                    self.decoders[col](value) if col in self.decoders else value
-                    for col, value in zip(columns, row)
-                )
-            )
-        return out
+        return zip_rows(self.columns(decoded=True), self.n_rows)
 
 
 class Database:
@@ -650,7 +660,7 @@ class Database:
             stats=ctx.stats,
             wall_ms=wall_ms,
             simulated_ms=simulated_time_ms(ctx.stats, self.constants),
-            decoders=self._decoders(projection, tuples.columns),
+            schemas=self._decoded_schemas(projection, tuples.columns),
             spans=self._finish_trace(ctx, resolved.value),
             degraded=bool(ctx.skipped_partitions),
             skipped_partitions=tuple(ctx.skipped_partitions),
@@ -764,33 +774,33 @@ class Database:
         )
         stored_rows = stored.select(out_cols).rows()
         ctx.stats.tuple_iterations += len(stored_rows) + n_ghost + n_pending
-        ghosts: Counter = Counter()
-        for i in range(n_ghost):
-            ghosts[tuple(int(ghost_survivors[c][i]) for c in out_cols)] += 1
+        ghosts = Counter(zip_rows(
+            [ghost_survivors[c].astype(np.int64).tolist() for c in out_cols],
+            n_ghost,
+        ))
         alive = []
         for row in stored_rows:
-            key = tuple(int(v) for v in row)
-            if ghosts.get(key, 0):
-                ghosts[key] -= 1
+            if ghosts.get(row, 0):
+                ghosts[row] -= 1
             else:
-                alive.append(key)
+                alive.append(row)
         if sum(ghosts.values()):
             raise ExecutionError(
                 f"delete multiset for {table!r} names rows the stored "
                 f"projection {projection.name!r} does not hold "
                 "(writable store out of sync with the read store)"
             )
+        alive_columns = zip(*alive) if alive else [()] * len(out_cols)
         combined: dict = {}
-        for ci, col in enumerate(out_cols):
-            stored_side = np.array(
-                [row[ci] for row in alive], dtype=np.int64
-            )
+        for col, stored_side in zip(out_cols, alive_columns):
             pending_side = (
                 pending_survivors[col].astype(np.int64)
                 if n_pending
                 else np.array([], dtype=np.int64)
             )
-            combined[col] = np.concatenate((stored_side, pending_side))
+            combined[col] = np.concatenate(
+                (np.array(stored_side, dtype=np.int64), pending_side)
+            )
         if query.aggregates:
             partials = delta_aggregate(
                 internal_specs, list(query.group_columns), combined
@@ -1073,15 +1083,15 @@ class Database:
             self._abort_trace(ctx, exc)
             raise
         wall_ms = (time.perf_counter() - start) * 1000.0
-        decoders = self._decoders(left, tuples.columns)
-        decoders.update(self._decoders(right, tuples.columns))
+        schemas = self._decoded_schemas(left, tuples.columns)
+        schemas.update(self._decoded_schemas(right, tuples.columns))
         return QueryResult(
             tuples=tuples,
             strategy=resolved.value,
             stats=ctx.stats,
             wall_ms=wall_ms,
             simulated_ms=simulated_time_ms(ctx.stats, self.constants),
-            decoders=decoders,
+            schemas=schemas,
             spans=self._finish_trace(ctx, resolved.value),
         )
 
@@ -1257,11 +1267,11 @@ class Database:
             }
         return report
 
-    def _decoders(self, projection: Projection, columns) -> dict:
+    def _decoded_schemas(self, projection: Projection, columns) -> dict:
         out = {}
         for col in columns:
             if col in projection.columns:
                 schema = projection.schema(col)
                 if schema.dictionary or schema.ctype.name == "date":
-                    out[col] = schema.decode_value
+                    out[col] = schema
         return out

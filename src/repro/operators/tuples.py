@@ -17,6 +17,12 @@ from ..errors import ExecutionError
 POSITION_COLUMN = "_pos"
 
 
+def zip_rows(columns: list, n_rows: int) -> list[tuple]:
+    """Row view of column-major lists: one ``zip``, or *n_rows* empty
+    tuples when there are no columns."""
+    return list(zip(*columns)) if columns else [()] * n_rows
+
+
 @dataclass
 class TupleSet:
     """A batch of row-major tuples.
@@ -113,8 +119,8 @@ class TupleSet:
         )
 
     def rows(self) -> list[tuple[int, ...]]:
-        """Materialise as Python tuples (tests and small outputs only)."""
-        return [tuple(int(v) for v in row) for row in self.data]
+        """Materialise as Python tuples of ints."""
+        return zip_rows(self.data.T.tolist(), self.n_tuples)
 
     @classmethod
     def concat(cls, parts: list["TupleSet"]) -> "TupleSet":

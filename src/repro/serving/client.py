@@ -3,8 +3,9 @@
 One connection, strictly request/response: :meth:`AsyncQueryClient.request`
 writes a JSON line and awaits the matching response line. Convenience
 wrappers cover the common ops; the raw :meth:`request` takes any protocol
-dict. Used by the load generator, the concurrency differential harness and
-the serving tests.
+dict. A query result's column-major ``data`` frame comes back as its
+``rows`` view, a list of tuples. Used by the load generator, the
+concurrency differential harness and the serving tests.
 
 Read-only requests survive one transient connection reset: the client
 reconnects after a capped exponential backoff and replays the request,
@@ -20,6 +21,7 @@ import asyncio
 import json
 
 from ..metrics import REGISTRY
+from ..operators.tuples import zip_rows
 from .protocol import query_to_dict
 from .server import STREAM_LIMIT
 
@@ -32,6 +34,15 @@ IDEMPOTENT_OPS = frozenset(
 #: First-retry backoff and the cap it grows toward on repeated resets.
 RECONNECT_BACKOFF_BASE = 0.05
 RECONNECT_BACKOFF_CAP = 1.0
+
+
+def _with_rows(response: dict) -> dict:
+    """Replace a result's column-major ``data`` frame by its ``rows`` view:
+    a list of tuples built with one ``zip``."""
+    data = response.pop("data", None)
+    if data is not None:
+        response["rows"] = zip_rows(data, response["n_rows"])
+    return response
 
 
 class AsyncQueryClient:
@@ -86,7 +97,7 @@ class AsyncQueryClient:
         line = await self._reader.readline()
         if not line:
             raise ConnectionError("server closed the connection")
-        return json.loads(line)
+        return _with_rows(json.loads(line))
 
     async def _reconnect(self) -> None:
         """Replace the dead connection after a capped exponential backoff."""

@@ -12,6 +12,10 @@ and :class:`~repro.planner.JoinQuery` field (predicates, IN-lists,
 aggregates, encodings, order/limit, disjuncts, having). All engine values
 are integers or floats, so the JSON round trip is exact — which is what
 makes bit-identical differential comparison over the wire sound.
+
+Query results travel column-major: ``columns`` names the output columns
+and ``data`` holds one list per column; the client turns ``data`` into a
+``rows`` list of tuples. Decoded DATE values travel as ISO-8601 strings.
 """
 
 from __future__ import annotations

@@ -17,8 +17,10 @@ Architecture — a front-end/worker split (the BRAD pattern scaled down):
 * A fixed pool of **worker threads** takes from the queue and runs
   ``Database.query(..., cancel=token, queue_wait_ms=wait)``; the engine's
   execute path is thread-safe (locked buffer pool / decoded cache /
-  metrics, per-query stats), so workers share one Database. Results are
-  delivered back to the event loop via ``loop.call_soon_threadsafe``.
+  metrics, per-query stats), so workers share one Database. The worker
+  also builds the column-major result frame (``QueryResult.columns``);
+  responses are delivered back to the event loop via
+  ``loop.call_soon_threadsafe``.
 * **Timeouts and cancellation** are cooperative: the token's deadline
   starts at admission, so time queued counts against the budget, and the
   engine checks the token at every block access. A disconnecting client
@@ -42,6 +44,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
+from datetime import date
 
 from ..cancel import CancelToken
 from ..errors import (
@@ -56,6 +59,16 @@ from ..serving.session import Session
 #: Big enough for a full result set on one JSON line (the stream reader's
 #: default 64 KiB limit truncates anything non-trivial).
 STREAM_LIMIT = 32 * 1024 * 1024
+
+
+def _wire_value(value):
+    """JSON stand-in for values the encoder does not know: decoded dates
+    travel as ISO-8601 strings; anything else fails the encode."""
+    if isinstance(value, date):
+        return value.isoformat()
+    raise TypeError(
+        f"{type(value).__name__} value {value!r} is not JSON serializable"
+    )
 
 
 @dataclass
@@ -223,7 +236,11 @@ class QueryServer:
                 pass
 
     async def _send(self, writer, payload: dict) -> None:
-        writer.write(json.dumps(payload).encode("utf-8") + b"\n")
+        try:
+            line = json.dumps(payload, default=_wire_value)
+        except (TypeError, ValueError) as exc:  # never drop the connection
+            line = json.dumps(error_response(exc))
+        writer.write(line.encode("utf-8") + b"\n")
         await writer.drain()
 
     # -------------------------------------------------------------- dispatch
@@ -419,20 +436,21 @@ class QueryServer:
                     origin="served",
                     session=str(work.session.session_id),
                 )
-                rows = (
-                    result.decoded_rows() if knobs["decoded"]
-                    else result.rows()
-                )
+                start = time.perf_counter()
+                data = result.columns(decoded=bool(knobs["decoded"]))
+                result_ms = (time.perf_counter() - start) * 1000.0
+                self.metrics.histogram("serving.result_ms").record(result_ms)
                 response = {
                     "ok": True,
                     "columns": list(result.tuples.columns),
-                    "rows": rows,
+                    "data": data,
                     "n_rows": result.n_rows,
                     "strategy": result.strategy,
                     "wall_ms": result.wall_ms,
                     "simulated_ms": result.simulated_ms,
                     "queue_wait_ms": result.queue_wait_ms,
                     "total_ms": result.queue_wait_ms + result.wall_ms,
+                    "result_ms": result_ms,
                 }
                 if result.degraded:
                     response["degraded"] = True

@@ -89,3 +89,29 @@ def canonical(rows: np.ndarray) -> np.ndarray:
     if rows.size == 0:
         return rows
     return rows[np.lexsort(tuple(rows[:, i] for i in range(rows.shape[1] - 1, -1, -1)))]
+
+
+def reference_rows(result) -> list[tuple]:
+    """Result rows built one value at a time: the oracle for the
+    vectorized :meth:`~repro.engine.QueryResult.rows`."""
+    return [tuple(int(v) for v in row) for row in result.tuples.data]
+
+
+def reference_decoded_rows(result) -> list[tuple]:
+    """Per-value decode of :func:`reference_rows` through
+    :meth:`~repro.dtypes.ColumnSchema.decode_value`."""
+    names = result.tuples.columns
+    return [
+        tuple(
+            result.schemas[name].decode_value(value)
+            if name in result.schemas else value
+            for name, value in zip(names, row)
+        )
+        for row in reference_rows(result)
+    ]
+
+
+def reference_columns(result, decoded: bool = False) -> list[list]:
+    """Column-major transpose of the per-value reference rows."""
+    rows = reference_decoded_rows(result) if decoded else reference_rows(result)
+    return [[row[i] for row in rows] for i in range(len(result.tuples.columns))]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from datetime import date
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro import (
     SelectQuery,
     load_tpch,
 )
+from repro.engine import QueryResult
 from repro.operators.aggregate import AggSpec
 from repro.predicates import InPredicate
 from repro.planner import JoinQuery
@@ -184,6 +186,45 @@ class TestServerBasics:
         assert response["ok"]
         direct = db.sql("SELECT returnflag FROM lineitem WHERE linenum = 1")
         assert [tuple(r) for r in response["rows"]] == direct.decoded_rows()
+
+    def test_decoded_date_column_travels_as_iso(self, served):
+        db, server = served
+        sql = "SELECT shipdate, returnflag FROM lineitem WHERE linenum = 1"
+
+        async def go():
+            client = await AsyncQueryClient.connect(server.host, server.port)
+            response = await client.sql(sql, decoded=True)
+            alive = await client.ping()
+            await client.close()
+            return response, alive
+
+        response, alive = run(go())
+        assert response["ok"] and alive["pong"]
+        direct = db.sql(sql).decoded_rows()
+        assert isinstance(direct[0][0], date)  # embedded keeps date objects
+        assert response["rows"] == [
+            (shipdate.isoformat(), flag) for shipdate, flag in direct
+        ]
+
+    def test_unencodable_response_is_an_error_response(
+        self, served, monkeypatch
+    ):
+        _db, server = served
+        monkeypatch.setattr(
+            QueryResult, "columns", lambda self, decoded=False: [[object()]]
+        )
+
+        async def go():
+            client = await AsyncQueryClient.connect(server.host, server.port)
+            response = await client.sql(SQL)
+            alive = await client.ping()
+            await client.close()
+            return response, alive
+
+        response, alive = run(go())
+        assert not response["ok"]
+        assert "not JSON serializable" in response["error"]["message"]
+        assert alive["pong"]  # same connection, still serving
 
     def test_unknown_op_and_malformed_line(self, served):
         _db, server = served
@@ -402,6 +443,7 @@ class TestAdmissionControl:
         assert snapshot["counters"]["serving.queries_total"] == 3
         assert snapshot["histograms"]["serving.queue_wait_ms"]["count"] == 3
         assert snapshot["histograms"]["serving.total_ms"]["count"] == 3
+        assert snapshot["histograms"]["serving.result_ms"]["count"] == 3
         db.close()
 
 
