@@ -296,10 +296,6 @@ class DeltaStore:
         """The pending inserted rows (copies; encoded values)."""
         return [dict(r) for r in self._rows.get(table, [])]
 
-    def deleted_rows(self, table: str) -> list[dict]:
-        """The pending deleted stored rows (copies; encoded values)."""
-        return [dict(r) for r in self._deleted.get(table, [])]
-
     def wal_records(self, table: str) -> int:
         """WAL record lines currently logged for *table* (the merge
         marker's unit — see :meth:`Catalog.set_wal_applied`)."""
@@ -363,40 +359,51 @@ class DeltaStore:
 
 def multiset_keep_mask(
     stored: dict[str, np.ndarray],
-    deleted_rows: list[dict],
+    deleted: dict[str, np.ndarray],
     columns: list[str],
 ) -> np.ndarray:
-    """Which stored rows survive subtracting *deleted_rows* as a multiset.
+    """Which stored rows survive subtracting *deleted* as a multiset.
 
-    Restricted to *columns* (a projection may carry a subset of the table's
-    columns): each deleted row cancels at most one stored row with equal
-    values on those columns, duplicates cancelling one-for-one. Vectorized
-    via row codes: ``np.unique`` over the stacked stored+deleted matrix
-    yields per-row group codes, and within each code the first
-    ``count(deleted)`` stored occurrences are dropped.
+    Both sides are column arrays; only *columns* are compared (a projection
+    may carry a subset of the table's columns). Each deleted row cancels at
+    most one stored row with equal values on those columns: among equal
+    rows, the first ``count(deleted)`` stored occurrences in position order
+    are dropped.
+
+    A stored row can only be cancelled if each of its values occurs in that
+    column of the deleted side, so one ``np.isin`` per column narrows the
+    stored side to a few candidates and the rest stays a column scan. One
+    stable ``np.lexsort`` over the candidates followed by the deleted rows
+    then groups equal rows, each group listing its stored candidates first
+    and in position order, and the first ``count(deleted)`` of them drop.
     """
     cols = list(columns)
     n = len(stored[cols[0]]) if cols else 0
-    if not deleted_rows or n == 0:
-        return np.ones(n, dtype=bool)
-    smat = np.stack([stored[c].astype(np.int64) for c in cols], axis=1)
-    dmat = np.array(
-        [[int(r[c]) for c in cols] for r in deleted_rows], dtype=np.int64
-    )
-    _, inverse = np.unique(
-        np.concatenate((smat, dmat)), axis=0, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)  # 2.0 returned (n, 1) for axis=0 input
-    scodes, dcodes = inverse[:n], inverse[n:]
-    del_counts = np.bincount(dcodes, minlength=int(inverse.max()) + 1)
-    order = np.argsort(scodes, kind="stable")
-    sorted_codes = scodes[order]
-    boundary = np.concatenate(([True], sorted_codes[1:] != sorted_codes[:-1]))
+    keep = np.ones(n, dtype=bool)
+    if n == 0 or len(deleted[cols[0]]) == 0:
+        return keep
+    candidates = np.arange(n)
+    for c in cols:
+        candidates = candidates[np.isin(stored[c][candidates], deleted[c])]
+    k = len(candidates)
+    if k == 0:
+        return keep
+    rows = np.concatenate((
+        np.stack([stored[c][candidates].astype(np.int64) for c in cols], 1),
+        np.stack([deleted[c].astype(np.int64) for c in cols], 1),
+    ))
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    boundary = np.ones(len(order), dtype=bool)
+    boundary[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.cumsum(boundary) - 1
     starts = np.flatnonzero(boundary)
-    run_id = np.cumsum(boundary) - 1
-    occurrence = np.arange(n) - starts[run_id]
-    keep = np.empty(n, dtype=bool)
-    keep[order] = occurrence >= del_counts[sorted_codes]
+    del_counts = np.bincount(group[order >= k], minlength=len(starts))
+    is_stored = order < k
+    occurrence = np.arange(len(order)) - starts[group]
+    keep[candidates[order[is_stored]]] = (
+        occurrence[is_stored] >= del_counts[group[is_stored]]
+    )
     return keep
 
 

@@ -66,6 +66,21 @@ from .storage.catalog import Catalog
 from .storage.projection import Projection
 
 
+def _keep_after_deletes(
+    table: str, projection: str, stored: dict, deleted: dict, columns: list
+) -> np.ndarray:
+    """:func:`~repro.delta.multiset_keep_mask` over *stored*, raising when
+    a deleted row has no stored row left to cancel."""
+    keep = multiset_keep_mask(stored, deleted, columns)
+    if len(keep) - int(keep.sum()) != len(deleted[columns[0]]):
+        raise ExecutionError(
+            f"delete multiset for {table!r} names rows the stored "
+            f"projection {projection!r} does not hold "
+            "(writable store out of sync with the read store)"
+        )
+    return keep
+
+
 @dataclass
 class QueryResult:
     """A finished query: tuples, the strategy used, and its costs."""
@@ -252,7 +267,7 @@ class Database:
                 simulated time, only wall-clock.
             parallel_scans: worker threads for the independent scan leaves
                 of the EM-parallel / LM-parallel strategies. ``0`` (default)
-                keeps execution strictly serial. Counters merge
+                keeps execution strictly serial. Cost counters merge
                 deterministically, so results and simulated costs are
                 identical to serial execution.
             metrics: registry every finished query is reported into. Defaults
@@ -675,12 +690,9 @@ class Database:
         from .operators import TupleSet
         from .planner.plans import _apply_having, _order_and_limit
 
-        if any(s.func == "count_distinct" for s in query.aggregates):
-            raise ExecutionError(
-                "count(distinct) cannot merge with pending writes; call "
-                "Database.merge() first"
-            )
-        if self.delta.deleted_count(table):
+        if self.delta.deleted_count(table) or any(
+            s.func == "count_distinct" for s in query.aggregates
+        ):
             return self._select_with_deletes(
                 ctx, projection, query, resolved, table
             )
@@ -727,10 +739,11 @@ class Database:
         aggregation. The stored side runs the chosen strategy as a
         row-returning query over the group/value columns (so all four
         strategies stay exercised and bit-identical), the delete multiset
-        is subtracted row-for-row, pending survivors are appended, and
-        aggregation/HAVING/ORDER run over the merged rows.
+        is subtracted by :func:`~repro.delta.multiset_keep_mask`, pending
+        survivors are appended, and aggregation/HAVING/ORDER run over the
+        merged rows. ``count(distinct)`` takes this path under any pending
+        write, since its partials do not merge.
         """
-        from collections import Counter
         from dataclasses import replace as _dc_replace
 
         from .operators import TupleSet
@@ -764,43 +777,21 @@ class Database:
         pending_survivors = delta_select(
             row_query, self.delta.columns(table, schemas)
         )
-        n_ghost = (
-            len(next(iter(ghost_survivors.values())))
-            if ghost_survivors else 0
-        )
-        n_pending = (
-            len(next(iter(pending_survivors.values())))
-            if pending_survivors else 0
-        )
-        stored_rows = stored.select(out_cols).rows()
-        ctx.stats.tuple_iterations += len(stored_rows) + n_ghost + n_pending
-        ghosts = Counter(zip_rows(
-            [ghost_survivors[c].astype(np.int64).tolist() for c in out_cols],
-            n_ghost,
+        n_ghost = len(ghost_survivors[out_cols[0]])
+        n_pending = len(pending_survivors[out_cols[0]])
+        ctx.stats.tuple_iterations += stored.n_tuples + n_ghost + n_pending
+        kept = stored.select(out_cols)
+        kept = kept.filter(_keep_after_deletes(
+            table, projection.name,
+            {col: kept.column(col) for col in out_cols},
+            ghost_survivors, out_cols,
         ))
-        alive = []
-        for row in stored_rows:
-            if ghosts.get(row, 0):
-                ghosts[row] -= 1
-            else:
-                alive.append(row)
-        if sum(ghosts.values()):
-            raise ExecutionError(
-                f"delete multiset for {table!r} names rows the stored "
-                f"projection {projection.name!r} does not hold "
-                "(writable store out of sync with the read store)"
-            )
-        alive_columns = zip(*alive) if alive else [()] * len(out_cols)
-        combined: dict = {}
-        for col, stored_side in zip(out_cols, alive_columns):
-            pending_side = (
-                pending_survivors[col].astype(np.int64)
-                if n_pending
-                else np.array([], dtype=np.int64)
-            )
-            combined[col] = np.concatenate(
-                (np.array(stored_side, dtype=np.int64), pending_side)
-            )
+        combined = {
+            col: np.concatenate((
+                kept.column(col), pending_survivors[col].astype(np.int64)
+            ))
+            for col in out_cols
+        }
         if query.aggregates:
             partials = delta_aggregate(
                 internal_specs, list(query.group_columns), combined
@@ -872,8 +863,6 @@ class Database:
         only die once); predicates take stored-domain values, exactly like
         :class:`~repro.planner.logical.SelectQuery` predicates.
         """
-        from collections import Counter
-
         stored_cols = {
             col: cover.read_column_values(col) for col in schemas
         }
@@ -881,19 +870,16 @@ class Database:
         mask = np.ones(n, dtype=bool)
         for pred in predicates:
             mask &= pred.mask(stored_cols[pred.column])
-        order = sorted(schemas)
-        already = Counter(
-            tuple(int(row[c]) for c in order)
-            for row in self.delta.deleted_rows(table)
+        cols = list(schemas)
+        hits = np.flatnonzero(mask)
+        matched = {col: stored_cols[col][hits] for col in cols}
+        keep = multiset_keep_mask(
+            matched, self.delta.deleted_columns(table, schemas), cols
         )
-        stored_matches: list[dict] = []
-        for i in np.flatnonzero(mask):
-            row = {col: int(stored_cols[col][i]) for col in schemas}
-            key = tuple(row[c] for c in order)
-            if already.get(key, 0):
-                already[key] -= 1
-            else:
-                stored_matches.append(row)
+        stored_matches = [
+            dict(zip(cols, values))
+            for values in zip(*(matched[col][keep].tolist() for col in cols))
+        ]
         pending_rows = self.delta.rows(table)
         pending_matches: list[dict] = []
         if pending_rows:
@@ -1001,7 +987,6 @@ class Database:
         moved = self.delta.count(table) + self.delta.deleted_count(table)
         if moved == 0:
             return 0
-        deleted_rows = self.delta.deleted_rows(table)
         builds = []
         for proj in sorted(
             self.catalog.candidates(table), key=lambda p: p.name
@@ -1012,11 +997,12 @@ class Database:
                 col: proj.read_column_values(col)
                 for col in proj.column_names
             }
-            if deleted_rows:
-                keep = multiset_keep_mask(
-                    stored, deleted_rows, list(proj.column_names)
-                )
-                stored = {col: vals[keep] for col, vals in stored.items()}
+            keep = _keep_after_deletes(
+                table, proj.name, stored,
+                self.delta.deleted_columns(table, schemas),
+                list(proj.column_names),
+            )
+            stored = {col: vals[keep] for col, vals in stored.items()}
             data = {
                 col: np.concatenate((stored[col], pending_cols[col]))
                 for col in proj.column_names

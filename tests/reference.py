@@ -6,6 +6,8 @@ independent of strategies, operators, position sets, or the buffer pool.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from repro.predicates import Predicate
@@ -115,3 +117,18 @@ def reference_columns(result, decoded: bool = False) -> list[list]:
     """Column-major transpose of the per-value reference rows."""
     rows = reference_decoded_rows(result) if decoded else reference_rows(result)
     return [[row[i] for row in rows] for i in range(len(result.tuples.columns))]
+
+
+def reference_keep_mask(stored: dict, deleted: dict, columns: list) -> np.ndarray:
+    """Delete-multiset subtraction one row at a time through a ``Counter``:
+    the oracle for :func:`~repro.delta.multiset_keep_mask`. Stored rows are
+    walked in position order; each consumes one matching ghost if any is
+    left."""
+    cols = list(columns)
+    ghosts = Counter(zip(*(deleted[c].tolist() for c in cols)))
+    keep = np.ones(len(stored[cols[0]]), dtype=bool)
+    for i, row in enumerate(zip(*(stored[c].tolist() for c in cols))):
+        if ghosts[row]:
+            ghosts[row] -= 1
+            keep[i] = False
+    return keep

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro import AggSpec, Database, Predicate, SelectQuery, Strategy, load_tpch
-from repro.errors import ExecutionError
 
 from .reference import full_column
 
@@ -68,7 +67,9 @@ class TestCountDistinct:
                 "GROUP BY returnflag"
             )
 
-    def test_pending_inserts_require_merge(self, tmp_path):
+    def test_pending_writes_answer_like_merge(self, tmp_path):
+        """Under pending inserts and deletes, count(distinct) answers (with
+        HAVING, under every strategy) equal the answers after a merge."""
         db = Database(tmp_path / "db")
         load_tpch(db.catalog, scale=0.001, seed=3)
         db.insert(
@@ -76,20 +77,32 @@ class TestCountDistinct:
             [
                 {
                     "shipdate": date(1999, 1, 1),
-                    "linenum": 1,
-                    "quantity": 1,
+                    "linenum": linenum,
+                    "quantity": 60 + linenum,
                     "returnflag": "A",
                 }
+                for linenum in (1, 2, 2)
             ],
         )
-        with pytest.raises(ExecutionError, match="merge"):
-            db.sql(
-                "SELECT returnflag, COUNT(DISTINCT quantity) FROM lineitem "
-                "GROUP BY returnflag"
-            )
-        db.merge("lineitem")
-        r = db.sql(
+        assert db.delete("lineitem", [Predicate("quantity", "<", 5)]) > 0
+        queries = [
             "SELECT returnflag, COUNT(DISTINCT quantity) FROM lineitem "
-            "GROUP BY returnflag"
-        )
-        assert r.n_rows == 3
+            "GROUP BY returnflag",
+            "SELECT quantity, COUNT(DISTINCT linenum), AVG(linenum) "
+            "FROM lineitem WHERE quantity < 12 GROUP BY quantity "
+            "HAVING COUNT(DISTINCT linenum) >= 6",
+            "SELECT returnflag, COUNT(DISTINCT linenum) FROM lineitem "
+            "WHERE quantity > 55 GROUP BY returnflag",
+        ]
+
+        def answers():
+            return [
+                sorted(db.sql(sql, strategy=strategy).rows())
+                for sql in queries
+                for strategy in Strategy
+            ]
+
+        pending = answers()
+        db.merge("lineitem")
+        assert db.pending("lineitem") == 0
+        assert pending == answers()

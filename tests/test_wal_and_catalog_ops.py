@@ -1,12 +1,13 @@
 """Tests for WAL durability, drop_projection, and storage reports."""
 
+import json
 from datetime import date
 
 import numpy as np
 import pytest
 
 from repro import Database, load_tpch
-from repro.errors import CatalogError
+from repro.errors import CatalogError, ExecutionError
 
 
 def order_row(custkey=1):
@@ -122,6 +123,42 @@ class TestWALDurability:
         db.merge("orders")
         assert not (root / "_wal" / "orders.wal").exists()
         assert (root / "_wal" / "lineitem.wal").exists()
+
+
+class TestOutOfSyncDeletes:
+    """A pending delete naming a row the read store does not hold."""
+
+    @pytest.mark.parametrize(
+        "ghosts",
+        [
+            [{"shipdate": 99999, "custkey": -7}],
+            # A held row named once more than the store holds it.
+            [{"shipdate": 8038, "custkey": 99}] * 2,
+        ],
+        ids=["absent", "over-counted"],
+    )
+    def test_query_and_merge_both_raise(self, db_root, ghosts):
+        root, db = db_root
+        held = db.sql(
+            "SELECT shipdate, custkey FROM orders WHERE custkey = 99"
+        ).rows()
+        assert held.count((8038, 99)) == 1
+        wal = root / "_wal" / "orders.wal"
+        record = {"_op": "delete", "stored": ghosts, "pending": []}
+        wal.write_text(json.dumps(record) + "\n")
+        reopened = Database(root)
+        assert reopened.pending("orders") == len(ghosts)
+        with pytest.raises(ExecutionError, match="out of sync"):
+            reopened.sql("SELECT shipdate, custkey FROM orders")
+        manifest = (root / "manifest.json").read_bytes()
+        listing = sorted(p.name for p in root.iterdir())
+        with pytest.raises(ExecutionError, match="out of sync"):
+            reopened.merge("orders")
+        # Nothing was staged or committed, and the WAL is untouched.
+        assert (root / "manifest.json").read_bytes() == manifest
+        assert sorted(p.name for p in root.iterdir()) == listing
+        assert wal.read_text() == json.dumps(record) + "\n"
+        assert Database(root).pending("orders") == len(ghosts)
 
 
 class TestDropProjection:
