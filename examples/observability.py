@@ -49,7 +49,7 @@ def main() -> None:
 
     print("\n3) trace — observed execution, operator by operator")
     result = db.query(query, strategy=plan["chosen"], cold=True, trace=True)
-    for op, detail in result.trace:
+    for op, detail in result.spans.events():
         pretty = ", ".join(f"{k}={v}" for k, v in detail.items())
         print(f"   {op:<11} {pretty}")
 

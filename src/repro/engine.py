@@ -113,31 +113,60 @@ class QueryResult:
     #: each query to the projection that produced its result hash even
     #: after the advisor has changed the candidate set.
     projection: str | None = None
-
-    @property
-    def trace(self) -> list | None:
-        """Flat ``(operator, detail)`` events derived from the span tree.
-
-        Operators appear in the order they *finished* (children before
-        parents), matching the legacy flat-trace representation.
-        """
-        if self.spans is None:
-            return None
-        return self.spans.events()
+    #: Milliseconds this query spent queued before execution started.
+    #: Non-zero only for queries routed through a serving-layer admission
+    #: queue (``Database.query(..., queue_wait_ms=...)``); together with
+    #: ``wall_ms`` it decomposes end-to-end latency into wait + execute.
+    queue_wait_ms: float = 0.0
+    #: The JSON-safe per-query record :meth:`summarize` builds once, inside
+    #: :meth:`Database.query`. :meth:`report`, EXPLAIN ANALYZE, the served
+    #: response, the query-log record and the metrics registry all render
+    #: from it. Read-only: the query log's writer thread serializes it
+    #: after ``query`` returns.
+    summary: dict = field(default_factory=dict)
 
     @property
     def n_rows(self) -> int:
         return self.tuples.n_tuples
 
-    @property
-    def queue_wait_ms(self) -> float:
-        """Milliseconds this query spent queued before execution started.
+    def summarize(self, query) -> dict:
+        """Build :attr:`summary` for this result of *query* and return it.
 
-        Non-zero only for queries routed through a serving-layer admission
-        queue (``Database.query(..., queue_wait_ms=...)``); together with
-        ``wall_ms`` it decomposes end-to-end latency into wait + execute.
+        Keys: ``strategy``, ``encodings`` (the query's stored-encoding
+        overrides), ``outcome`` (``"ok"`` or ``"degraded"``), ``rows``,
+        ``wall_ms`` / ``simulated_ms`` / ``queue_wait_ms`` (rounded to
+        microseconds) and ``counters`` (:meth:`QueryStats.counters`); then,
+        when they apply, ``projection`` (the resolved projection),
+        ``selectivity`` (rows over the projection's rows, non-aggregate
+        selects), ``partitions`` (``total`` / ``scanned`` / ``pruned``) and
+        ``skipped_partitions`` (degraded results). The query log writes
+        exactly these keys, so the record format is the log's format.
         """
-        return float(self.stats.extra.get("queue_wait_ms", 0.0))
+        stats = self.stats
+        summary = {
+            "strategy": self.strategy,
+            "encodings": query.encoding_map,
+            "outcome": "degraded" if self.degraded else "ok",
+            "rows": self.n_rows,
+            "wall_ms": round(self.wall_ms, 3),
+            "simulated_ms": round(self.simulated_ms, 3),
+            "queue_wait_ms": round(self.queue_wait_ms, 3),
+            "counters": stats.counters(),
+        }
+        if self.projection is not None:
+            summary["projection"] = self.projection
+        if self.base_rows and not getattr(query, "aggregates", ()):
+            summary["selectivity"] = round(self.n_rows / self.base_rows, 6)
+        if stats.partitions_total:
+            summary["partitions"] = {
+                "total": stats.partitions_total,
+                "scanned": stats.partitions_scanned,
+                "pruned": stats.partitions_pruned,
+            }
+        if self.degraded:
+            summary["skipped_partitions"] = list(self.skipped_partitions)
+        self.summary = summary
+        return summary
 
     def columns(self, decoded: bool = False) -> list[list]:
         """The result column-major: one Python list per output column.
@@ -160,54 +189,61 @@ class QueryResult:
         return self.tuples.rows()
 
     def report(self) -> str:
-        """Human-readable execution report: strategy, costs, counters, trace."""
-        stats = self.stats
+        """Human-readable execution report: the :attr:`summary`, then the
+        ad-hoc operator counters (``stats.extra``) and operator events."""
+        s = self.summary
+        c = s["counters"]
         lines = [
-            f"strategy       {self.strategy}",
-            f"rows           {self.n_rows}",
-            f"wall time      {self.wall_ms:.2f} ms",
-            f"model replay   {self.simulated_ms:.2f} ms",
+            f"strategy       {s['strategy']}",
+            f"rows           {s['rows']}",
+            f"wall time      {s['wall_ms']:.2f} ms",
+            f"model replay   {s['simulated_ms']:.2f} ms",
             (
-                f"I/O            {stats.block_reads} block reads, "
-                f"{stats.disk_seeks} seeks, {stats.buffer_hits} pool hits, "
-                f"{stats.blocks_skipped} blocks skipped"
+                f"I/O            {c['block_reads']} block reads, "
+                f"{c['disk_seeks']} seeks, {c['buffer_hits']} pool hits, "
+                f"{c['blocks_skipped']} blocks skipped"
             ),
             (
-                f"decode cache   {stats.decode_hits} hits, "
-                f"{stats.decode_misses} misses"
+                f"decode cache   {c['decode_hits']} hits, "
+                f"{c['decode_misses']} misses"
             ),
             (
-                f"compressed     {stats.compressed_scans} kernel scans, "
-                f"{stats.morphs} morphs"
+                f"compressed     {c['compressed_scans']} kernel scans, "
+                f"{c['morphs']} morphs"
             ),
             (
-                f"CPU            {stats.values_scanned} values scanned, "
-                f"{stats.tuples_constructed} tuples constructed, "
-                f"{stats.positions_intersected} positions intersected"
+                f"CPU            {c['values_scanned']} values scanned, "
+                f"{c['tuples_constructed']} tuples constructed, "
+                f"{c['positions_intersected']} positions intersected"
             ),
         ]
-        if "queue_wait_ms" in stats.extra:
+        if s["queue_wait_ms"]:
             lines.append(
-                f"queue wait     {stats.extra['queue_wait_ms']:.2f} ms "
-                f"(end-to-end {stats.extra['queue_wait_ms'] + self.wall_ms:.2f} ms)"
+                f"queue wait     {s['queue_wait_ms']:.2f} ms "
+                f"(end-to-end {s['queue_wait_ms'] + s['wall_ms']:.2f} ms)"
             )
-        if stats.io_retries or stats.io_gave_up:
+        if c["io_retries"] or c["io_gave_up"]:
             lines.append(
-                f"fault recovery {stats.io_retries} retries, "
-                f"{stats.io_gave_up} reads abandoned"
+                f"fault recovery {c['io_retries']} retries, "
+                f"{c['io_gave_up']} reads abandoned"
             )
-        if self.degraded:
+        if "partitions" in s:
+            parts = s["partitions"]
+            lines.append(
+                f"partitions     {parts['scanned']}/{parts['total']} scanned, "
+                f"{parts['pruned']} pruned"
+            )
+        if "skipped_partitions" in s:
             lines.append(
                 "DEGRADED       result excludes quarantined partitions: "
-                + ", ".join(self.skipped_partitions)
+                + ", ".join(s["skipped_partitions"])
             )
-        for key, value in sorted(stats.extra.items()):
-            if key == "queue_wait_ms":  # has its own line above
-                continue
+        for key, value in sorted(self.stats.extra.items()):
             lines.append(f"{key:<14} {value}")
-        if self.trace:
+        events = self.spans.events() if self.spans is not None else ()
+        if events:
             lines.append("operators:")
-            for op, detail in self.trace:
+            for op, detail in events:
                 pretty = ", ".join(f"{k}={v}" for k, v in detail.items())
                 lines.append(f"  {op:<11} {pretty}")
         return "\n".join(lines)
@@ -447,26 +483,18 @@ class Database:
         )
 
     @staticmethod
-    def _note_queue_wait(ctx: ExecutionContext, queue_wait_ms) -> None:
-        """Record admission-queue wait so latency decomposes wait + execute.
+    def _note_queue_wait(ctx: ExecutionContext, wait: float) -> None:
+        """Show admission-queue wait in the span tree, when tracing.
 
-        The wait is surfaced twice: as ``stats.extra["queue_wait_ms"]`` (so
-        ``QueryResult.report()`` and ``queue_wait_ms`` see it) and, when
-        tracing, as a synthetic ``QUEUE`` span under the root. The span
-        carries zero model counters — queue wait is wall-clock only, so
-        every span-tree simulated-time invariant is untouched — and its
+        The wait becomes a synthetic ``QUEUE`` span under the root. The
+        span carries zero model counters — queue wait is wall-clock only,
+        so every span-tree simulated-time invariant is untouched — and its
         ``wall_ms`` is backdated to the measured wait.
         """
-        if not queue_wait_ms:
-            return
-        wait = round(float(queue_wait_ms), 3)
-        if ctx.tracer is not None:
+        if wait and ctx.tracer is not None:
             span = ctx.tracer.begin("QUEUE")
-            ctx.stats.extra["queue_wait_ms"] = wait
             ctx.tracer.end(span, queue_wait_ms=wait)
             span.wall_ms = wait
-        else:
-            ctx.stats.extra["queue_wait_ms"] = wait
 
     @staticmethod
     def _finish_trace(ctx: ExecutionContext, strategy: str) -> Span | None:
@@ -529,7 +557,8 @@ class Database:
             strategy: a :class:`Strategy` / its name, "auto" for model-driven
                 choice, or for joins a :class:`RightTableStrategy` / name.
             cold: clear the buffer pool first (cold-cache measurement).
-            trace: record per-operator events on ``QueryResult.trace``.
+            trace: record the EXPLAIN ANALYZE span tree on
+                ``QueryResult.spans``.
             timeout_ms: per-query deadline; expiry raises
                 :class:`~repro.errors.QueryTimeoutError` at the next block
                 access. Ignored when *cancel* already carries a deadline.
@@ -540,7 +569,7 @@ class Database:
                 ``exc.spans``. Either way no partial result escapes.
             queue_wait_ms: milliseconds the query waited in a serving-layer
                 admission queue before execution; recorded as
-                ``stats.extra["queue_wait_ms"]`` and a ``QUEUE`` span so
+                ``QueryResult.queue_wait_ms`` and a ``QUEUE`` span so
                 end-to-end latency decomposes into wait + execute.
             origin / session: provenance stamped on the query-log record —
                 ``"embedded"`` (default) for in-process callers,
@@ -563,17 +592,18 @@ class Database:
             self.clear_cache()
         if not isinstance(query, (SelectQuery, JoinQuery)):
             raise PlanError(f"cannot execute {type(query).__name__}")
+        wait = round(float(queue_wait_ms or 0.0), 3)
         dispatch_start = time.perf_counter()
         try:
             if isinstance(query, JoinQuery):
                 result = self._run_join(
                     query, strategy, trace=trace, cancel=cancel,
-                    queue_wait_ms=queue_wait_ms,
+                    queue_wait_ms=wait,
                 )
             else:
                 result = self._run_select(
                     query, strategy, trace=trace, cancel=cancel,
-                    queue_wait_ms=queue_wait_ms,
+                    queue_wait_ms=wait,
                     pin_projection=pin_projection,
                 )
         except BaseException as exc:
@@ -588,39 +618,12 @@ class Database:
                 )
             raise
         self.metrics.observe_query(
-            strategy=result.strategy,
-            wall_ms=result.wall_ms,
-            simulated_ms=result.simulated_ms,
-            rows=result.n_rows,
+            result.summarize(query),
             description=repr(query)[:200],
-            encodings=getattr(query, "encoding_map", {}).values(),
             slow_threshold_ms=self.slow_query_ms,
-            queue_wait_ms=result.queue_wait_ms,
-            degraded=result.degraded,
         )
         if self.qlog is not None:
             self.qlog.observe(query, result, origin=origin, session=session)
-        extra = result.stats.extra
-        if "partitions_total" in extra:
-            self.metrics.counter("partitions_scanned_total").inc(
-                extra.get("partitions_scanned", 0)
-            )
-            self.metrics.counter("partitions_pruned_total").inc(
-                extra.get("partitions_pruned", 0)
-            )
-        if result.stats.io_retries:
-            self.metrics.counter("io_retries_total").inc(
-                result.stats.io_retries
-            )
-        if result.stats.io_gave_up:
-            self.metrics.counter("io_gave_up_total").inc(
-                result.stats.io_gave_up
-            )
-        if result.degraded:
-            self.metrics.counter("degraded_queries_total").inc()
-            self.metrics.counter("partitions_quarantined_total").inc(
-                extra.get("partitions_quarantined", 0)
-            )
         return result
 
     def _pending_table(self, *names) -> str | None:
@@ -636,7 +639,7 @@ class Database:
         strategy,
         trace: bool = False,
         cancel: CancelToken | None = None,
-        queue_wait_ms: float | None = None,
+        queue_wait_ms: float = 0.0,
         pin_projection: str | None = None,
     ) -> QueryResult:
         if pin_projection is not None:
@@ -681,6 +684,7 @@ class Database:
             skipped_partitions=tuple(ctx.skipped_partitions),
             base_rows=projection.n_rows,
             projection=projection.name,
+            queue_wait_ms=queue_wait_ms,
         )
 
     def _select_with_delta(
@@ -1034,7 +1038,7 @@ class Database:
         strategy,
         trace: bool = False,
         cancel: CancelToken | None = None,
-        queue_wait_ms: float | None = None,
+        queue_wait_ms: float = 0.0,
     ) -> QueryResult:
         for side in (query.left, query.right):
             candidates = self.catalog.candidates(side)
@@ -1079,6 +1083,7 @@ class Database:
             simulated_ms=simulated_time_ms(ctx.stats, self.constants),
             schemas=schemas,
             spans=self._finish_trace(ctx, resolved.value),
+            queue_wait_ms=queue_wait_ms,
         )
 
     def scrub(self, deep: bool = False):
@@ -1156,10 +1161,13 @@ class Database:
         the given *strategy*) and the result is an EXPLAIN ANALYZE report
         instead: ``{"strategy", "rows", "wall_ms", "simulated_ms",
         "queue_wait_ms", "total_ms", "root" (the Span tree), "text"
-        (rendered tree), "json" (export dict)}``. ``queue_wait_ms`` is the
+        (rendered tree), "json" (export dict)}``, all but the span renders
+        taken from ``QueryResult.summary``. ``queue_wait_ms`` is the
         admission-queue wait passed through to :meth:`query` (0.0 outside a
         serving context) and ``total_ms`` is wait + execute, so serving
-        latency decomposes in the report itself.
+        latency decomposes in the report itself. ``compressed``,
+        ``partitions`` and ``degraded`` / ``skipped_partitions`` appear
+        when they apply.
         """
         if analyze:
             from .planner.describe import render_span_tree
@@ -1172,34 +1180,29 @@ class Database:
                 cancel=cancel,
                 queue_wait_ms=queue_wait_ms,
             )
+            s = result.summary
             report = {
-                "strategy": result.strategy,
-                "rows": result.n_rows,
-                "wall_ms": result.wall_ms,
-                "simulated_ms": result.simulated_ms,
-                "queue_wait_ms": result.queue_wait_ms,
-                "total_ms": result.queue_wait_ms + result.wall_ms,
+                "strategy": s["strategy"],
+                "rows": s["rows"],
+                "wall_ms": s["wall_ms"],
+                "simulated_ms": s["simulated_ms"],
+                "queue_wait_ms": s["queue_wait_ms"],
+                "total_ms": round(s["queue_wait_ms"] + s["wall_ms"], 3),
                 "root": result.spans,
                 "text": render_span_tree(result.spans, self.constants),
                 "json": result.spans.to_dict(self.constants),
             }
-            if result.stats.compressed_scans or result.stats.morphs:
+            c = s["counters"]
+            if c["compressed_scans"] or c["morphs"]:
                 report["compressed"] = {
-                    "kernel_scans": result.stats.compressed_scans,
-                    "morphs": result.stats.morphs,
+                    "kernel_scans": c["compressed_scans"],
+                    "morphs": c["morphs"],
                 }
-            extra = result.stats.extra
-            if "partitions_total" in extra:
-                report["partitions"] = {
-                    "total": extra["partitions_total"],
-                    "scanned": extra.get("partitions_scanned", 0),
-                    "pruned": extra.get("partitions_pruned", 0),
-                }
-            if result.degraded:
+            if "partitions" in s:
+                report["partitions"] = s["partitions"]
+            if "skipped_partitions" in s:
                 report["degraded"] = True
-                report["skipped_partitions"] = list(
-                    result.skipped_partitions
-                )
+                report["skipped_partitions"] = s["skipped_partitions"]
             return report
         if isinstance(query, JoinQuery):
             from .model.predictor import predict_join

@@ -44,22 +44,6 @@ from .errors import (
 )
 from .metrics import QueryStats
 
-#: Environment variable the test harness reads to vary fault schedules in CI.
-FAULT_SEED_ENV = "REPRO_FAULT_SEED"
-
-#: Environment variable the crash-matrix job reads to vary crash workloads.
-CRASH_SEED_ENV = "REPRO_CRASH_SEED"
-
-
-def fault_seed_from_env(default: int = 0) -> int:
-    """The CI fault-matrix seed (``REPRO_FAULT_SEED``), or *default*."""
-    return int(os.environ.get(FAULT_SEED_ENV, str(default)))
-
-
-def crash_seed_from_env(default: int = 0) -> int:
-    """The CI crash-matrix seed (``REPRO_CRASH_SEED``), or *default*."""
-    return int(os.environ.get(CRASH_SEED_ENV, str(default)))
-
 
 @dataclass(frozen=True)
 class FaultRule:

@@ -65,10 +65,19 @@ class QueryStats:
     * ``simulated_io_us`` — microseconds the simulated disk model charged
       (the replayed ``SEEK``/``READ`` terms, plus injected slow-block
       latency and retry backoff when a fault schedule is active).
+    * ``partitions_total`` / ``partitions_scanned`` / ``partitions_pruned`` —
+      partitions of a partitioned projection the query addressed, fanned
+      out to, and skipped through zone-map pruning. Under degraded
+      execution ``partitions_skipped`` counts every partition left out for
+      quarantine (already quarantined, or failing during this query) and
+      ``partitions_quarantined`` only the ones newly quarantined by this
+      query, so ``total = scanned + pruned + skipped - quarantined``.
 
-    The field list is the contract: ``merge``/``reset``/``as_dict`` operate
-    reflectively over it, the class docstring documents every field (guarded
-    by a reflection test), and new fields must keep all three in sync.
+    The field list is the contract: ``merge``/``reset``/``as_dict``/
+    ``counters`` operate reflectively over it, the class docstring documents
+    every field (guarded by a reflection test), and new fields must keep all
+    of them in sync. ``extra`` holds only ad-hoc operator counters (index
+    lookups, join matches, out-of-order gathers, slow-block latency).
     """
 
     block_reads: int = 0
@@ -90,6 +99,11 @@ class QueryStats:
     io_retries: int = 0
     io_gave_up: int = 0
     simulated_io_us: float = 0.0
+    partitions_total: int = 0
+    partitions_scanned: int = 0
+    partitions_pruned: int = 0
+    partitions_skipped: int = 0
+    partitions_quarantined: int = 0
 
     extra: dict = field(default_factory=dict)
 
@@ -116,9 +130,28 @@ class QueryStats:
         out.update(self.extra)
         return out
 
+    def counters(self) -> dict:
+        """The ``counters`` entry of the per-query record: every typed
+        field except the partition counts (the record's ``partitions``
+        entry) and ``tuples_output`` (the record carries the result's
+        ``rows`` instead), floats rounded to three decimals."""
+        out = {}
+        for name in _RECORD_COUNTERS:
+            value = getattr(self, name)
+            out[name] = round(value, 3) if isinstance(value, float) else value
+        return out
+
     def __str__(self) -> str:
         pairs = ", ".join(f"{k}={v}" for k, v in self.as_dict().items() if v)
         return f"QueryStats({pairs})"
+
+
+_RECORD_COUNTERS = tuple(
+    f.name
+    for f in fields(QueryStats)
+    if f.name not in ("extra", "tuples_output")
+    and not f.name.startswith("partitions_")
+)
 
 
 # --------------------------------------------------------------------------
@@ -311,26 +344,28 @@ class MetricsRegistry:
 
     def observe_query(
         self,
-        strategy: str,
-        wall_ms: float,
-        simulated_ms: float = 0.0,
-        rows: int = 0,
+        summary: dict,
         description: str = "",
-        encodings=(),
         slow_threshold_ms: float | None = None,
-        queue_wait_ms: float = 0.0,
-        degraded: bool = False,
     ) -> None:
         """Record one finished query into counters, histograms, slow log.
 
-        ``queue_wait_ms`` and ``degraded`` travel onto the slow-query ring
-        buffer entry, so a slow served query shows how much of its latency
-        was admission-queue wait and whether it completed over a partial
-        (quarantine-degraded) partition set.
+        *summary* is the per-query record (``QueryResult.summary``); keys
+        it lacks count as zero. ``queue_wait_ms`` and the degraded outcome
+        travel onto the slow-query ring buffer entry, so a slow served
+        query shows how much of its latency was admission-queue wait and
+        whether it completed over a partial (quarantine-degraded)
+        partition set.
         """
+        strategy = summary["strategy"]
+        wall_ms = summary["wall_ms"]
+        simulated_ms = summary.get("simulated_ms", 0.0)
+        counters = summary.get("counters", {})
+        parts = summary.get("partitions")
+        degraded = summary.get("outcome") == "degraded"
         self.counter("queries_total").inc()
         self.counter(f"queries.strategy.{strategy}").inc()
-        for encoding in encodings:
+        for encoding in summary.get("encodings", {}).values():
             self.counter(f"queries.encoding.{encoding}").inc()
             self.histogram(f"query_wall_ms.encoding.{encoding}").record(wall_ms)
         self.histogram("query_wall_ms").record(wall_ms)
@@ -340,45 +375,52 @@ class MetricsRegistry:
             wall_ms,
             threshold_ms=slow_threshold_ms,
             strategy=strategy,
-            simulated_ms=round(simulated_ms, 3),
-            rows=rows,
+            simulated_ms=simulated_ms,
+            rows=summary.get("rows", 0),
             query=description,
-            queue_wait_ms=round(queue_wait_ms, 3),
+            queue_wait_ms=summary.get("queue_wait_ms", 0.0),
             degraded=degraded,
         )
         if logged:
             self.counter("queries_slow_total").inc()
+        if parts:
+            self.counter("partitions_scanned_total").inc(parts["scanned"])
+            self.counter("partitions_pruned_total").inc(parts["pruned"])
+        if counters.get("io_retries"):
+            self.counter("io_retries_total").inc(counters["io_retries"])
+        if counters.get("io_gave_up"):
+            self.counter("io_gave_up_total").inc(counters["io_gave_up"])
+        if degraded:
+            # The partitions neither scanned nor pruned were quarantined
+            # before this query; the other skipped ones were quarantined by
+            # it (QueryStats: total = scanned + pruned + skipped - quarantined).
+            already = (
+                parts["total"] - parts["scanned"] - parts["pruned"]
+                if parts
+                else 0
+            )
+            self.counter("degraded_queries_total").inc()
+            self.counter("partitions_quarantined_total").inc(
+                len(summary.get("skipped_partitions", ())) - already
+            )
 
     # ------------------------------------------------------------- lifecycle
 
     def snapshot(self) -> dict:
         """One JSON-safe dict of everything the registry knows right now."""
-        with self._lock:
-            counters = {name: c.value for name, c in self._counters.items()}
-            histograms = {
-                name: h.snapshot() for name, h in self._histograms.items()
-            }
-            collectors = list(self._collectors.items())
-        out = {
-            "counters": counters,
-            "histograms": histograms,
-            "slow_queries": self.slow_queries.entries(),
-        }
-        for name, fn in collectors:
-            try:
-                out[name] = fn()
-            except Exception as exc:  # collector outlived its owner
-                out[name] = {"error": f"{type(exc).__name__}: {exc}"}
-        return out
+        return self._dump(LatencyHistogram.snapshot)
 
     def export(self) -> dict:
         """Exposition-grade dump: like :meth:`snapshot` but with raw
         histogram buckets (via :meth:`LatencyHistogram.export`) so the
         Prometheus renderer can emit cumulative ``_bucket`` series."""
+        return self._dump(LatencyHistogram.export)
+
+    def _dump(self, histogram_view) -> dict:
         with self._lock:
             counters = {name: c.value for name, c in self._counters.items()}
             histograms = {
-                name: h.export() for name, h in self._histograms.items()
+                name: histogram_view(h) for name, h in self._histograms.items()
             }
             collectors = list(self._collectors.items())
         out = {

@@ -125,9 +125,8 @@ class Span:
     def events(self, include_self: bool = False) -> list[tuple[str, dict]]:
         """Flat ``(operator, detail)`` events, children before parents.
 
-        This is the legacy trace representation (operators used to append an
-        event when they *finished*), kept as a derived view so existing
-        consumers of ``QueryResult.trace`` keep working.
+        Operators appear in the order they *finished*;
+        :meth:`~repro.engine.QueryResult.report` lists them this way.
         """
         out: list[tuple[str, dict]] = []
         for child in self.children:

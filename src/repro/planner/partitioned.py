@@ -165,14 +165,10 @@ def execute_partitioned_select(
             else:
                 active.append(part)
         survivors = active
-    extra = ctx.stats.extra
-    extra["partitions_total"] = extra.get("partitions_total", 0) + total
-    extra["partitions_scanned"] = (
-        extra.get("partitions_scanned", 0) + len(survivors)
-    )
-    extra["partitions_pruned"] = (
-        extra.get("partitions_pruned", 0) + (total - len(survivors) - len(pre_skipped))
-    )
+    stats = ctx.stats
+    stats.partitions_total += total
+    stats.partitions_scanned += len(survivors)
+    stats.partitions_pruned += total - len(survivors) - len(pre_skipped)
     if span is not None:
         detail = dict(
             partitions=total,
@@ -199,12 +195,8 @@ def execute_partitioned_select(
     skipped = pre_skipped + [s.partition for s in newly_failed]
     if skipped:
         ctx.skipped_partitions.extend(skipped)
-        extra["partitions_quarantined"] = (
-            extra.get("partitions_quarantined", 0) + len(newly_failed)
-        )
-        extra["partitions_skipped"] = (
-            extra.get("partitions_skipped", 0) + len(skipped)
-        )
+        stats.partitions_quarantined += len(newly_failed)
+        stats.partitions_skipped += len(skipped)
     merged = _combine(ctx, query, sub_query, plan, partials)
     merged = _apply_having(ctx, merged, query)
     merged = _order_and_limit(ctx, merged, query)

@@ -498,59 +498,17 @@ class QueryLog:
 
     def observe(self, query, result, origin: str = "embedded",
                 session=None) -> bool:
-        """Record one finished query; returns whether it was sampled in."""
+        """Record one finished query; returns whether it was sampled in.
+
+        The record is the base record (fingerprint, template, provenance,
+        logical query), then the result's per-query record
+        (``QueryResult.summary``), then the result hash.
+        """
         with self._lock:
             if not self._sampled_in():
                 return False
             record = self._base_record(query, origin, session)
-            stats = result.stats
-            record.update(
-                strategy=result.strategy,
-                encodings=dict(getattr(query, "encodings", ()) or ()),
-                outcome="degraded" if result.degraded else "ok",
-                rows=result.n_rows,
-                wall_ms=round(result.wall_ms, 3),
-                simulated_ms=round(result.simulated_ms, 3),
-                queue_wait_ms=round(result.queue_wait_ms, 3),
-                counters={
-                    "block_reads": stats.block_reads,
-                    "disk_seeks": stats.disk_seeks,
-                    "buffer_hits": stats.buffer_hits,
-                    "decode_hits": stats.decode_hits,
-                    "decode_misses": stats.decode_misses,
-                    "blocks_skipped": stats.blocks_skipped,
-                    "compressed_scans": stats.compressed_scans,
-                    "morphs": stats.morphs,
-                    "io_retries": stats.io_retries,
-                    "io_gave_up": stats.io_gave_up,
-                    "values_scanned": stats.values_scanned,
-                    "tuples_constructed": stats.tuples_constructed,
-                    "positions_intersected": stats.positions_intersected,
-                    "block_iterations": stats.block_iterations,
-                    "column_iterations": stats.column_iterations,
-                    "tuple_iterations": stats.tuple_iterations,
-                    "function_calls": stats.function_calls,
-                    "simulated_io_us": round(stats.simulated_io_us, 3),
-                },
-            )
-            resolved = getattr(result, "projection", None)
-            if resolved is not None:
-                record["projection"] = resolved
-            if result.base_rows and not getattr(query, "aggregates", ()):
-                record["selectivity"] = round(
-                    result.n_rows / result.base_rows, 6
-                )
-            extra = stats.extra
-            if "partitions_total" in extra:
-                record["partitions"] = {
-                    "total": extra["partitions_total"],
-                    "scanned": extra.get("partitions_scanned", 0),
-                    "pruned": extra.get("partitions_pruned", 0),
-                }
-            if result.degraded:
-                record["skipped_partitions"] = list(
-                    result.skipped_partitions
-                )
+            record.update(result.summary)
             if self.result_hashes and not result.degraded:
                 record["result_hash"] = result_hash(result.tuples)
             self._enqueue(record)

@@ -18,9 +18,11 @@ Architecture — a front-end/worker split (the BRAD pattern scaled down):
   ``Database.query(..., cancel=token, queue_wait_ms=wait)``; the engine's
   execute path is thread-safe (locked buffer pool / decoded cache /
   metrics, per-query stats), so workers share one Database. The worker
-  also builds the column-major result frame (``QueryResult.columns``);
-  responses are delivered back to the event loop via
-  ``loop.call_soon_threadsafe``.
+  also builds the column-major result frame (``QueryResult.columns``),
+  timed as ``result_ms``; the response is that frame plus fields of the
+  per-query record (``QueryResult.summary``), and its ``total_ms`` is
+  queue wait + execution + ``result_ms``. Responses are delivered back to
+  the event loop via ``loop.call_soon_threadsafe``.
 * **Timeouts and cancellation** are cooperative: the token's deadline
   starts at admission, so time queued counts against the budget, and the
   engine checks the token at every block access. A disconnecting client
@@ -438,25 +440,26 @@ class QueryServer:
                 )
                 start = time.perf_counter()
                 data = result.columns(decoded=bool(knobs["decoded"]))
-                result_ms = (time.perf_counter() - start) * 1000.0
+                result_ms = round((time.perf_counter() - start) * 1000.0, 3)
                 self.metrics.histogram("serving.result_ms").record(result_ms)
+                s = result.summary
                 response = {
                     "ok": True,
                     "columns": list(result.tuples.columns),
                     "data": data,
-                    "n_rows": result.n_rows,
-                    "strategy": result.strategy,
-                    "wall_ms": result.wall_ms,
-                    "simulated_ms": result.simulated_ms,
-                    "queue_wait_ms": result.queue_wait_ms,
-                    "total_ms": result.queue_wait_ms + result.wall_ms,
+                    "n_rows": s["rows"],
+                    "strategy": s["strategy"],
+                    "wall_ms": s["wall_ms"],
+                    "simulated_ms": s["simulated_ms"],
+                    "queue_wait_ms": s["queue_wait_ms"],
+                    "total_ms": round(
+                        s["queue_wait_ms"] + s["wall_ms"] + result_ms, 3
+                    ),
                     "result_ms": result_ms,
                 }
-                if result.degraded:
+                if "skipped_partitions" in s:
                     response["degraded"] = True
-                    response["skipped_partitions"] = list(
-                        result.skipped_partitions
-                    )
+                    response["skipped_partitions"] = s["skipped_partitions"]
                 if result.spans is not None:
                     response["trace"] = result.spans.to_dict(
                         self.db.constants

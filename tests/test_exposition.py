@@ -31,14 +31,16 @@ def _populated_registry() -> MetricsRegistry:
         (80.0, "lm-pipelined", "rle"),
     ):
         reg.observe_query(
-            strategy=strategy,
-            wall_ms=wall,
-            simulated_ms=wall * 3,
-            rows=10,
+            {
+                "strategy": strategy,
+                "wall_ms": wall,
+                "simulated_ms": wall * 3,
+                "rows": 10,
+                "encodings": {"x": encoding},
+                "queue_wait_ms": 1.5,
+                "outcome": "degraded",
+            },
             description='SELECT "quoted" FROM t\nWHERE x < 1 \\ y',
-            encodings=(encoding,),
-            queue_wait_ms=1.5,
-            degraded=True,
         )
     reg.counter("serving.rejected_total").inc(3)
     reg.register_collector(

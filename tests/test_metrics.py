@@ -161,10 +161,10 @@ class TestSlowQueryLog:
 class TestMetricsRegistry:
     def test_observe_query_populates(self):
         reg = MetricsRegistry()
-        reg.observe_query(
-            strategy="lm-parallel", wall_ms=3.0, simulated_ms=1.0, rows=10,
-            encodings=("rle",),
-        )
+        reg.observe_query({
+            "strategy": "lm-parallel", "wall_ms": 3.0, "simulated_ms": 1.0,
+            "rows": 10, "encodings": {"linenum": "rle"},
+        })
         snap = reg.snapshot()
         assert snap["counters"]["queries_total"] == 1
         assert snap["counters"]["queries.strategy.lm-parallel"] == 1
@@ -173,7 +173,7 @@ class TestMetricsRegistry:
 
     def test_slow_query_logged_and_counted(self):
         reg = MetricsRegistry(slow_query_threshold_ms=1.0)
-        reg.observe_query(strategy="spc", wall_ms=5.0, description="q")
+        reg.observe_query({"strategy": "spc", "wall_ms": 5.0}, description="q")
         snap = reg.snapshot()
         assert snap["counters"]["queries_slow_total"] == 1
         assert snap["slow_queries"][0]["strategy"] == "spc"
@@ -201,7 +201,7 @@ class TestMetricsRegistry:
     def test_reset_keeps_collectors(self):
         reg = MetricsRegistry()
         reg.register_collector("pool", lambda: {"v": 1})
-        reg.observe_query(strategy="spc", wall_ms=1.0)
+        reg.observe_query({"strategy": "spc", "wall_ms": 1.0})
         reg.reset()
         snap = reg.snapshot()
         assert snap["counters"] == {}

@@ -159,7 +159,6 @@ class TestQueryResultSpans:
     def test_untraced_query_has_no_spans(self, tpch_db):
         r = tpch_db.query(self.QUERY)
         assert r.spans is None
-        assert r.trace is None
 
     def test_explain_analyze_report(self, tpch_db):
         report = tpch_db.explain(

@@ -140,7 +140,9 @@ class TestParallelIdentity:
         with Database(root, parallel_scans=4) as parallel:
             a = serial.query(query, strategy="lm-parallel", trace=True)
             b = parallel.query(query, strategy="lm-parallel", trace=True)
-            assert sorted(map(repr, a.trace)) == sorted(map(repr, b.trace))
+            assert sorted(map(repr, a.spans.events())) == sorted(
+                map(repr, b.spans.events())
+            )
 
     def test_repeated_parallel_runs_are_stable(self, tpch_db):
         """No flaky interleaving effects: N parallel runs, one answer."""

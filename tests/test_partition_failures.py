@@ -108,7 +108,7 @@ class TestCorruptBlockMidPartition:
             predicates=(Predicate("a", "<", bad_zone.min_value),),
         )
         result = db.query(query, cold=True, trace=True)
-        assert result.stats.extra["partitions_pruned"] >= 1
+        assert result.stats.partitions_pruned >= 1
         assert all(row[0] < bad_zone.min_value for row in result.rows())
 
 

@@ -271,7 +271,7 @@ class TestServerBasics:
 
 
 class TestLatencyDecomposition:
-    """Satellite: serving latency decomposes into wait + execute."""
+    """Serving latency decomposes into wait + execute + result building."""
 
     def test_wait_plus_execute_approximates_end_to_end(self, served):
         _db, server = served
@@ -288,11 +288,15 @@ class TestLatencyDecomposition:
 
         response, elapsed_ms = run(go())
         assert response["ok"]
-        total = response["queue_wait_ms"] + response["wall_ms"]
+        total = (
+            response["queue_wait_ms"]
+            + response["wall_ms"]
+            + response["result_ms"]
+        )
         assert response["total_ms"] == pytest.approx(total)
-        # wait + execute can never (meaningfully) exceed what the client
-        # measured, and must account for the bulk of it — the remainder is
-        # JSON encode/decode and loopback transport.
+        # wait + execute + result building can never (meaningfully) exceed
+        # what the client measured, and must account for the bulk of it —
+        # the remainder is JSON encode/decode and loopback transport.
         assert total <= elapsed_ms + 5.0
         assert elapsed_ms - total <= max(250.0, 0.9 * elapsed_ms)
 
